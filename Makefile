@@ -67,13 +67,15 @@ resilience-smoke:
 durability-smoke:
 	sh scripts/durability-smoke.sh
 
-# fuzz-smoke runs each parser fuzz target for a short burst; a discovered
-# panic fails the build and leaves its input in testdata/fuzz/.
+# fuzz-smoke runs each parser fuzz target, and the Term.Time layout
+# differential, for a short burst; a discovered failure fails the build and
+# leaves its input in testdata/fuzz/.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzParseUpdate$$' -fuzztime $(FUZZTIME) -run XXX ./internal/sparql/
 	$(GO) test -fuzz '^FuzzParseTurtle$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
+	$(GO) test -fuzz '^FuzzTermTime$$' -fuzztime $(FUZZTIME) -run XXX ./internal/rdf/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run XXX ./internal/hifun/
 
 race:

@@ -2,7 +2,6 @@ package facet
 
 import (
 	"math"
-	"sort"
 
 	"rdfanalytics/internal/rdf"
 )
@@ -27,33 +26,38 @@ func (b Bucket) Contains(v float64, last bool) bool {
 // extension into n equal-width buckets with counts — the data behind the
 // range-filter form of Example 3 (§5.1). Entities with several values count
 // once per distinct bucket. Returns nil when fewer than two distinct
-// numeric values exist (a plain value facet serves better then).
+// numeric values exist (a plain value facet serves better then). Each
+// distinct value is decoded once.
 func (m *Model) NumericBuckets(s *State, p rdf.Term, n int) []Bucket {
 	if n <= 0 {
 		n = 5
 	}
-	type ev struct {
-		entity rdf.Term
+	type decoded struct {
+		v  float64
+		ok bool
+	}
+	type point struct {
+		entity rdf.ID
 		value  float64
 	}
-	var pairs []ev
+	values := map[rdf.ID]decoded{}
+	var points []point
 	lo, hi := math.Inf(1), math.Inf(-1)
-	distinct := map[float64]struct{}{}
-	m.G.Match(rdf.Any, p, rdf.Any, func(t rdf.Triple) bool {
-		if !s.Ext.Has(t.S) {
-			return true
+	for _, ed := range m.edgesFrom(m.ids(s.Ext), p) {
+		d, seen := values[ed.o]
+		if !seen {
+			d.v, d.ok = m.G.TermOf(ed.o).Float()
+			values[ed.o] = d
 		}
-		v, ok := t.O.Float()
-		if !ok {
-			return true
+		if !d.ok {
+			continue
 		}
-		pairs = append(pairs, ev{t.S, v})
-		distinct[v] = struct{}{}
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-		return true
-	})
-	if len(distinct) < 2 {
+		points = append(points, point{ed.s, d.v})
+		lo = math.Min(lo, d.v)
+		hi = math.Max(hi, d.v)
+	}
+	// Fewer than two distinct values: none, or all equal to lo.
+	if len(points) == 0 || lo == hi {
 		return nil
 	}
 	width := (hi - lo) / float64(n)
@@ -63,13 +67,14 @@ func (m *Model) NumericBuckets(s *State, p rdf.Term, n int) []Bucket {
 	}
 	buckets[n-1].Hi = hi
 	// Count each (entity, bucket) pair once.
-	seen := map[[2]interface{}]struct{}{}
-	for _, pr := range pairs {
-		idx := int((pr.value - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		key := [2]interface{}{pr.entity, idx}
+	type entityBucket struct {
+		entity rdf.ID
+		bucket int
+	}
+	seen := map[entityBucket]struct{}{}
+	for _, pt := range points {
+		idx := min(int((pt.value-lo)/width), n-1)
+		key := entityBucket{pt.entity, idx}
 		if _, dup := seen[key]; dup {
 			continue
 		}
@@ -77,50 +82,4 @@ func (m *Model) NumericBuckets(s *State, p rdf.Term, n int) []Bucket {
 		buckets[idx].Count++
 	}
 	return buckets
-}
-
-// ClickBucket restricts the state to entities whose p-value falls in the
-// bucket: two range conditions in one transition.
-func (m *Model) ClickBucket(s *State, p rdf.Term, b Bucket, last bool) *State {
-	lo := rdf.NewDecimal(b.Lo)
-	hi := rdf.NewDecimal(b.Hi)
-	s2 := m.ClickRange(s, Path{{P: p}}, ">=", lo)
-	if last {
-		return m.ClickRange(s2, Path{{P: p}}, "<=", hi)
-	}
-	return m.ClickRange(s2, Path{{P: p}}, "<", hi)
-}
-
-// DateBuckets groups the date values of facet p by year, returning
-// (year, count) pairs sorted by year — the calendar drill-down the
-// transform button's YEAR/MONTH decomposition supports.
-func (m *Model) DateBuckets(s *State, p rdf.Term) []ValueCount {
-	counts := map[int]int{}
-	seen := map[[2]interface{}]struct{}{}
-	m.G.Match(rdf.Any, p, rdf.Any, func(t rdf.Triple) bool {
-		if !s.Ext.Has(t.S) {
-			return true
-		}
-		tm, ok := t.O.Time()
-		if !ok {
-			return true
-		}
-		key := [2]interface{}{t.S, tm.Year()}
-		if _, dup := seen[key]; dup {
-			return true
-		}
-		seen[key] = struct{}{}
-		counts[tm.Year()]++
-		return true
-	})
-	years := make([]int, 0, len(counts))
-	for y := range counts {
-		years = append(years, y)
-	}
-	sort.Ints(years)
-	out := make([]ValueCount, len(years))
-	for i, y := range years {
-		out[i] = ValueCount{Value: rdf.NewInteger(int64(y)), Count: counts[y]}
-	}
-	return out
 }

@@ -46,49 +46,23 @@ ex:a ex:v 5 . ex:b ex:v 5 .
 	}
 }
 
+// TestClickBucketMatchesCount checks bucket soundness: each bucket's count
+// equals the size of the extension its range selects, reached with the two
+// range clicks the GUI's bucket links send.
 func TestClickBucketMatchesCount(t *testing.T) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 150, Companies: 8, Seed: 9, Materialize: true})
 	m := NewModel(g)
 	s := m.ClickClass(m.Start(), pe("Laptop"))
+	price := Path{{P: pe("price")}}
 	buckets := m.NumericBuckets(s, pe("price"), 5)
 	for i, b := range buckets {
-		last := i == len(buckets)-1
-		s2 := m.ClickBucket(s, pe("price"), b, last)
+		upper := "<"
+		if i == len(buckets)-1 {
+			upper = "<=" // the last bucket is closed
+		}
+		s2 := m.ClickRange(m.ClickRange(s, price, ">=", rdf.NewDecimal(b.Lo)), price, upper, rdf.NewDecimal(b.Hi))
 		if s2.Ext.Len() != b.Count {
 			t.Errorf("bucket %d: click gives %d, count says %d", i, s2.Ext.Len(), b.Count)
 		}
-	}
-}
-
-func TestDateBuckets(t *testing.T) {
-	m := model(t)
-	s := m.ClickClass(m.Start(), pe("Laptop"))
-	years := m.DateBuckets(s, pe("releaseDate"))
-	if len(years) != 1 {
-		t.Fatalf("years = %v", years)
-	}
-	if years[0].Value != rdf.NewInteger(2021) || years[0].Count != 3 {
-		t.Errorf("year bucket = %+v", years[0])
-	}
-	// Multi-year data.
-	g := datagen.Products(datagen.ProductsConfig{Laptops: 200, Companies: 8, Seed: 2, Materialize: true})
-	m2 := NewModel(g)
-	s2 := m2.ClickClass(m2.Start(), pe("Laptop"))
-	years = m2.DateBuckets(s2, pe("releaseDate"))
-	if len(years) != 5 { // 2019..2023
-		t.Fatalf("years = %v", years)
-	}
-	total := 0
-	prev := int64(0)
-	for _, y := range years {
-		n, _ := y.Value.Int()
-		if n <= prev {
-			t.Error("years unsorted")
-		}
-		prev = n
-		total += y.Count
-	}
-	if total != s2.Ext.Len() {
-		t.Errorf("year counts sum to %d, extension %d", total, s2.Ext.Len())
 	}
 }

@@ -1,8 +1,8 @@
 package facet
 
 import (
-	"math"
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"rdfanalytics/internal/par"
@@ -10,11 +10,22 @@ import (
 )
 
 // TermSet is an extension: a set of resources with deterministic iteration.
+// It also caches its members' dictionary IDs (see Model.ids), so the counts
+// and restrictions of Algorithm 5 run on integers. Items and the ID cache
+// fill lazily: a TermSet is used by one goroutine at a time.
 type TermSet struct {
 	set   map[rdf.Term]struct{}
 	items []rdf.Term // sorted lazily
 	dirty bool
+	// ids holds the members' IDs in graph idsOf as of its version idsAt. A
+	// later mutation may intern a member, so the stamp must still match.
+	ids   idSet
+	idsOf *rdf.Graph
+	idsAt uint64
 }
+
+// idSet is a set of dictionary IDs of one graph.
+type idSet map[rdf.ID]struct{}
 
 // NewTermSet builds a set from the given terms.
 func NewTermSet(ts ...rdf.Term) *TermSet {
@@ -30,6 +41,7 @@ func (s *TermSet) Add(t rdf.Term) {
 	if _, ok := s.set[t]; !ok {
 		s.set[t] = struct{}{}
 		s.dirty = true
+		s.ids = nil
 	}
 }
 
@@ -49,7 +61,7 @@ func (s *TermSet) Items() []rdf.Term {
 		for t := range s.set {
 			s.items = append(s.items, t)
 		}
-		sort.Slice(s.items, func(i, j int) bool { return s.items[i].Less(s.items[j]) })
+		rdf.SortTerms(s.items)
 		s.dirty = false
 	}
 	return s.items
@@ -118,45 +130,97 @@ func (m *Model) StartFrom(results []rdf.Term) *State {
 	}
 }
 
-// Restrict implements Restrict(E, p:v) of §5.3.1.
-func (m *Model) Restrict(e *TermSet, p rdf.Term, inverse bool, v rdf.Term) *TermSet {
-	out := NewTermSet()
-	if inverse {
-		// e' survives if (v, p, e') holds.
-		m.G.Match(v, p, rdf.Any, func(t rdf.Triple) bool {
-			if e.Has(t.O) {
-				out.Add(t.O)
-			}
-			return true
-		})
-		return out
+// ids resolves the extension to dictionary IDs of m.G, once per graph
+// version: the counts and transitions of a state all read the same set.
+// Members the graph has never interned cannot match and are left out; the
+// version stamp brings them in once a later update interns them.
+func (m *Model) ids(e *TermSet) idSet {
+	v := m.G.Version()
+	if e.ids != nil && e.idsOf == m.G && e.idsAt == v {
+		return e.ids
 	}
-	m.G.Match(rdf.Any, p, v, func(t rdf.Triple) bool {
-		if e.Has(t.S) {
-			out.Add(t.S)
+	ids := make(idSet, len(e.set))
+	for t := range e.set {
+		if id, ok := m.G.TermID(t); ok {
+			ids[id] = struct{}{}
+		}
+	}
+	e.ids, e.idsOf, e.idsAt = ids, m.G, v
+	return ids
+}
+
+// termSet materializes ids as a new extension that keeps ids as its ID set.
+// v is the graph version read before the scans that produced ids: if the
+// graph moved since, the stamp no longer matches and the set is resolved
+// again.
+func (m *Model) termSet(ids idSet, v uint64) *TermSet {
+	s := &TermSet{set: make(map[rdf.Term]struct{}, len(ids)), dirty: true, ids: ids, idsOf: m.G, idsAt: v}
+	for id := range ids {
+		s.set[m.G.TermOf(id)] = struct{}{}
+	}
+	return s
+}
+
+// linked calls fn for every member x of e that p links to a value v of vals:
+// (x, p, v), or (v, p, x) when inverse. A member linked to several values
+// is reported once per value. fn runs under the graph's read lock and must
+// not call back into the graph.
+func (m *Model) linked(e idSet, p rdf.Term, inverse bool, vals idSet, fn func(x rdf.ID)) {
+	pid, ok := m.G.TermID(p)
+	if !ok {
+		return
+	}
+	visit := func(x rdf.ID) bool {
+		if _, in := e[x]; in {
+			fn(x)
 		}
 		return true
-	})
+	}
+	for v := range vals {
+		if inverse {
+			m.G.MatchIDs(v, pid, 0, func(_, _, x rdf.ID) bool { return visit(x) })
+		} else {
+			m.G.MatchIDs(0, pid, v, func(x, _, _ rdf.ID) bool { return visit(x) })
+		}
+	}
+}
+
+// restrictIDs is Restrict(E, p:vals) on ID sets.
+func (m *Model) restrictIDs(e idSet, p rdf.Term, inverse bool, vals idSet) idSet {
+	out := idSet{}
+	m.linked(e, p, inverse, vals, func(x rdf.ID) { out[x] = struct{}{} })
 	return out
+}
+
+// Restrict implements Restrict(E, p:v) of §5.3.1.
+func (m *Model) Restrict(e *TermSet, p rdf.Term, inverse bool, v rdf.Term) *TermSet {
+	return m.RestrictSet(e, p, inverse, NewTermSet(v))
 }
 
 // RestrictSet implements Restrict(E, p:vset).
 func (m *Model) RestrictSet(e *TermSet, p rdf.Term, inverse bool, vset *TermSet) *TermSet {
-	out := NewTermSet()
-	for _, v := range vset.Items() {
-		for _, t := range m.Restrict(e, p, inverse, v).Items() {
-			out.Add(t)
-		}
-	}
-	return out
+	v := m.G.Version()
+	return m.termSet(m.restrictIDs(m.ids(e), p, inverse, m.ids(vset)), v)
 }
 
 // RestrictClass implements Restrict(E, c).
 func (m *Model) RestrictClass(e *TermSet, c rdf.Term) *TermSet {
-	out := NewTermSet()
-	m.G.Match(rdf.Any, rdf.NewIRI(rdf.RDFType), c, func(t rdf.Triple) bool {
-		if e.Has(t.S) {
-			out.Add(t.S)
+	return m.RestrictSet(e, rdf.NewIRI(rdf.RDFType), false, NewTermSet(c))
+}
+
+// edge is one (subject, object) pair of a predicate scan.
+type edge struct{ s, o rdf.ID }
+
+// edgesFrom returns the (x, o) pairs of p whose subject x is in e.
+func (m *Model) edgesFrom(e idSet, p rdf.Term) []edge {
+	pid, ok := m.G.TermID(p)
+	if !ok {
+		return nil
+	}
+	var out []edge
+	m.G.MatchIDs(0, pid, 0, func(s, _, o rdf.ID) bool {
+		if _, in := e[s]; in {
+			out = append(out, edge{s, o})
 		}
 		return true
 	})
@@ -164,19 +228,23 @@ func (m *Model) RestrictClass(e *TermSet, c rdf.Term) *TermSet {
 }
 
 // RestrictOp filters e by a literal comparison at the end of a single hop:
-// the range-filter button of Example 3.
+// the range-filter button of Example 3. Each distinct value is decoded and
+// compared once.
 func (m *Model) RestrictOp(e *TermSet, p rdf.Term, op string, v rdf.Term) *TermSet {
-	out := NewTermSet()
-	m.G.Match(rdf.Any, p, rdf.Any, func(t rdf.Triple) bool {
-		if !e.Has(t.S) {
-			return true
+	ver := m.G.Version()
+	out := idSet{}
+	holds := map[rdf.ID]bool{}
+	for _, ed := range m.edgesFrom(m.ids(e), p) {
+		h, seen := holds[ed.o]
+		if !seen {
+			h = compareHolds(m.G.TermOf(ed.o), op, v)
+			holds[ed.o] = h
 		}
-		if compareHolds(t.O, op, v) {
-			out.Add(t.S)
+		if h {
+			out[ed.s] = struct{}{}
 		}
-		return true
-	})
-	return out
+	}
+	return m.termSet(out, ver)
 }
 
 func compareHolds(a rdf.Term, op string, b rdf.Term) bool {
@@ -225,51 +293,37 @@ func compareHolds(a rdf.Term, op string, b rdf.Term) bool {
 
 // Joins implements Joins(E, p) of §5.3.1: the values linked with the
 // elements of E via p, with the count of E-members carrying each value.
-// The counting runs in dictionary-ID space: one scan of the predicate's
-// index with integer membership tests; value terms are materialized only
-// for the result map.
+// The counting runs in dictionary-ID space; value terms are materialized
+// only for the result map.
 func (m *Model) Joins(e *TermSet, p rdf.Term, inverse bool) map[rdf.Term]int {
-	pid, ok := m.G.TermID(p)
-	if !ok {
-		return map[rdf.Term]int{}
-	}
-	return m.joinsIDs(m.extIDSet(e), pid, inverse)
-}
-
-// extIDSet resolves the extension members to dictionary IDs once, so the
-// same set can be reused across every property of a facet computation.
-// Terms the graph has never seen cannot join and are dropped.
-func (m *Model) extIDSet(e *TermSet) map[rdf.ID]struct{} {
-	ids := make(map[rdf.ID]struct{}, e.Len())
-	for t := range e.set {
-		if id, ok := m.G.TermID(t); ok {
-			ids[id] = struct{}{}
-		}
-	}
-	return ids
-}
-
-// joinsIDs is the ID-space core of Joins. Triples are set-unique per
-// predicate, so counting needs no dedup pass. Counts are collected on IDs
-// under the scan and materialized afterwards (TermOf must not be called
-// inside the MatchIDs callback).
-func (m *Model) joinsIDs(eIDs map[rdf.ID]struct{}, pid rdf.ID, inverse bool) map[rdf.Term]int {
-	counts := map[rdf.ID]int{}
-	m.G.MatchIDs(0, pid, 0, func(s, _, o rdf.ID) bool {
-		if inverse {
-			if _, ok := eIDs[o]; ok {
-				counts[s]++
-			}
-		} else if _, ok := eIDs[s]; ok {
-			counts[o]++
-		}
-		return true
-	})
+	counts := m.countJoins(m.ids(e), p, inverse)
 	out := make(map[rdf.Term]int, len(counts))
 	for id, c := range counts {
 		out[m.G.TermOf(id)] = c
 	}
 	return out
+}
+
+// countJoins is Joins on IDs: one scan of the predicate's index with
+// integer membership tests. Triples are set-unique per predicate, so
+// counting needs no dedup pass.
+func (m *Model) countJoins(e idSet, p rdf.Term, inverse bool) map[rdf.ID]int {
+	counts := map[rdf.ID]int{}
+	pid, ok := m.G.TermID(p)
+	if !ok {
+		return counts
+	}
+	m.G.MatchIDs(0, pid, 0, func(s, _, o rdf.ID) bool {
+		if inverse {
+			if _, in := e[o]; in {
+				counts[s]++
+			}
+		} else if _, in := e[s]; in {
+			counts[o]++
+		}
+		return true
+	})
+	return counts
 }
 
 // ValueCount is one transition marker: a clickable value with its count.
@@ -279,14 +333,37 @@ type ValueCount struct {
 }
 
 // sortValueCounts orders markers by descending count, then term order — the
-// usual facet display order.
+// usual facet display order. Each value's sort key is decoded once, and the
+// sort moves indices, not keys.
 func sortValueCounts(vcs []ValueCount) {
-	sort.Slice(vcs, func(i, j int) bool {
-		if vcs[i].Count != vcs[j].Count {
-			return vcs[i].Count > vcs[j].Count
+	keys := make([]rdf.SortKey, len(vcs))
+	order := make([]int32, len(vcs))
+	for i, vc := range vcs {
+		keys[i] = vc.Value.SortKey()
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		if c := cmp.Compare(vcs[j].Count, vcs[i].Count); c != 0 {
+			return c
 		}
-		return vcs[i].Value.Less(vcs[j].Value)
+		return keys[i].Compare(&keys[j])
 	})
+	sorted := make([]ValueCount, len(vcs))
+	for i, k := range order {
+		sorted[i] = vcs[k]
+	}
+	copy(vcs, sorted)
+}
+
+// valueCounts materializes ID counts as markers in display order: each
+// distinct value is decoded once.
+func (m *Model) valueCounts(counts map[rdf.ID]int) []ValueCount {
+	vcs := make([]ValueCount, 0, len(counts))
+	for id, c := range counts {
+		vcs = append(vcs, ValueCount{Value: m.G.TermOf(id), Count: c})
+	}
+	sortValueCounts(vcs)
+	return vcs
 }
 
 // ClassNode is a node of the hierarchical class facet (Fig 5.4 a–b):
@@ -304,19 +381,20 @@ type ClassNode struct {
 // no click leads to an empty result).
 func (m *Model) ClassFacet(s *State) []ClassNode {
 	defer observeSince(classFacetSeconds, time.Now())
+	e := m.ids(s.Ext)
+	typ := rdf.NewIRI(rdf.RDFType)
 	var build func(c rdf.Term) (ClassNode, bool)
 	build = func(c rdf.Term) (ClassNode, bool) {
-		count := m.RestrictClass(s.Ext, c).Len()
-		node := ClassNode{Class: c, Count: count}
+		node := ClassNode{Class: c}
+		if cid, ok := m.G.TermID(c); ok {
+			m.linked(e, typ, false, idSet{cid: {}}, func(rdf.ID) { node.Count++ })
+		}
 		for _, sub := range m.Schema.DirectSubClasses(c) {
 			if child, ok := build(sub); ok {
 				node.Children = append(node.Children, child)
 			}
 		}
-		if count == 0 && len(node.Children) == 0 {
-			return node, false
-		}
-		return node, true
+		return node, node.Count > 0 || len(node.Children) > 0
 	}
 	var out []ClassNode
 	for _, c := range m.Schema.MaximalClasses() {
@@ -335,52 +413,26 @@ type Facet struct {
 	Values  []ValueCount
 }
 
-// Total returns the number of E-members having the property (the count
-// shown next to the facet name, "by manufacturer (2)").
-func (f Facet) Total(m *Model, e *TermSet) int {
-	out := NewTermSet()
-	if f.Inverse {
-		m.G.Match(rdf.Any, f.P, rdf.Any, func(t rdf.Triple) bool {
-			if e.Has(t.O) {
-				out.Add(t.O)
-			}
-			return true
-		})
-	} else {
-		m.G.Match(rdf.Any, f.P, rdf.Any, func(t rdf.Triple) bool {
-			if e.Has(t.S) {
-				out.Add(t.S)
-			}
-			return true
-		})
-	}
-	return out.Len()
-}
-
 // PropertyFacets computes the property-based transition markers of s
 // (Alg. 5 Part C): one facet per property applicable to the extension, each
 // with its joined values and counts. Inverse facets are included when
 // includeInverse is set (the model's Pr⁻¹). The extension's ID set is
-// resolved once and the per-property counting fans out across the worker
-// pool (Model.Parallelism); results land in per-property slots, so output
-// is identical at every parallelism level.
+// resolved before the per-property counting fans out across the worker
+// pool (Model.Parallelism); results land in per-property slots in property
+// order, so output is identical at every parallelism level.
 func (m *Model) PropertyFacets(s *State, includeInverse bool) []Facet {
 	defer observeSince(propFacetsSeconds, time.Now())
 	props := m.applicableProperties()
-	eIDs := m.extIDSet(s.Ext)
+	e := m.ids(s.Ext)
 	slots := make([][]Facet, len(props))
 	par.Do(len(props), par.Workers(m.Parallelism), func(i int) {
 		p := props[i]
-		pid, ok := m.G.TermID(p)
-		if !ok {
-			return
-		}
-		if values := m.joinsIDs(eIDs, pid, false); len(values) > 0 {
-			slots[i] = append(slots[i], m.makeFacet(p, false, values))
+		if counts := m.countJoins(e, p, false); len(counts) > 0 {
+			slots[i] = append(slots[i], m.makeFacet(p, false, counts))
 		}
 		if includeInverse {
-			if ivalues := m.joinsIDs(eIDs, pid, true); len(ivalues) > 0 {
-				slots[i] = append(slots[i], m.makeFacet(p, true, ivalues))
+			if counts := m.countJoins(e, p, true); len(counts) > 0 {
+				slots[i] = append(slots[i], m.makeFacet(p, true, counts))
 			}
 		}
 	})
@@ -388,12 +440,6 @@ func (m *Model) PropertyFacets(s *State, includeInverse bool) []Facet {
 	for _, fs := range slots {
 		out = append(out, fs...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P.Less(out[j].P)
-		}
-		return !out[i].Inverse && out[j].Inverse
-	})
 	return out
 }
 
@@ -402,56 +448,33 @@ func (m *Model) applicableProperties() []rdf.Term {
 	for p := range m.Schema.Properties {
 		props = append(props, p)
 	}
-	sort.Slice(props, func(i, j int) bool { return props[i].Less(props[j]) })
+	rdf.SortTerms(props)
 	return props
 }
 
-func (m *Model) makeFacet(p rdf.Term, inverse bool, values map[rdf.Term]int) Facet {
-	f := Facet{P: p, Inverse: inverse}
-	for v, c := range values {
-		f.Values = append(f.Values, ValueCount{Value: v, Count: c})
-	}
-	sortValueCounts(f.Values)
+func (m *Model) makeFacet(p rdf.Term, inverse bool, counts map[rdf.ID]int) Facet {
+	f := Facet{P: p, Inverse: inverse, Values: m.valueCounts(counts)}
 	if m.MaxValues > 0 && len(f.Values) > m.MaxValues {
 		f.Values = f.Values[:m.MaxValues]
 	}
 	return f
 }
 
-// RankFacets orders facets by how much a click on them would tell the user:
-// the Shannon entropy of the facet's value distribution over the extension,
-// normalized by its coverage. High-entropy facets split the focus evenly
-// (informative clicks); single-valued facets rank last. Classic faceted-UI
-// ordering; the GUI shows the most useful facets first.
-func RankFacets(m *Model, e *TermSet, facets []Facet) []Facet {
-	type scored struct {
-		f     Facet
-		score float64
-	}
-	out := make([]scored, len(facets))
-	for i, f := range facets {
-		total := 0
-		for _, vc := range f.Values {
-			total += vc.Count
+// pathMarkers computes the forward marker sets of a successive property
+// path (§5.3.2): M_0 = e and M_i = Joins(M_{i-1}, p_i), with the counts of
+// the last step.
+func (m *Model) pathMarkers(e idSet, path Path) ([]idSet, map[rdf.ID]int) {
+	markers := []idSet{e}
+	var counts map[rdf.ID]int
+	for _, step := range path {
+		counts = m.countJoins(markers[len(markers)-1], step.P, step.Inverse)
+		next := make(idSet, len(counts))
+		for id := range counts {
+			next[id] = struct{}{}
 		}
-		h := 0.0
-		if total > 0 {
-			for _, vc := range f.Values {
-				p := float64(vc.Count) / float64(total)
-				if p > 0 {
-					h -= p * math.Log2(p)
-				}
-			}
-		}
-		coverage := float64(f.Total(m, e)) / float64(max(e.Len(), 1))
-		out[i] = scored{f: f, score: h * coverage}
+		markers = append(markers, next)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].score > out[j].score })
-	ranked := make([]Facet, len(out))
-	for i, s := range out {
-		ranked[i] = s.f
-	}
-	return ranked
+	return markers, counts
 }
 
 // ExpandPath computes the transition markers at the end of a successive
@@ -460,34 +483,18 @@ func RankFacets(m *Model, e *TermSet, facets []Facet) []Facet {
 // sequence is not successive (produces no values).
 func (m *Model) ExpandPath(s *State, path Path) []ValueCount {
 	defer observeSince(expandPathSeconds, time.Now())
-	cur := s.Ext
-	var values map[rdf.Term]int
-	for _, step := range path {
-		values = m.Joins(cur, step.P, step.Inverse)
-		if len(values) == 0 {
-			return nil
-		}
-		next := NewTermSet()
-		for v := range values {
-			if v.IsResource() || true { // literals can be grouped too
-				next.Add(v)
-			}
-		}
-		cur = next
+	_, counts := m.pathMarkers(m.ids(s.Ext), path)
+	if len(counts) == 0 {
+		return nil
 	}
-	var out []ValueCount
-	for v, c := range values {
-		out = append(out, ValueCount{Value: v, Count: c})
-	}
-	sortValueCounts(out)
-	return out
+	return m.valueCounts(counts)
 }
 
 // ClickValue performs the transition of selecting value v at the end of
 // path (Eq. 5.1): the extension is restricted backwards through the path
 // and the intention gains the corresponding condition.
 func (m *Model) ClickValue(s *State, path Path, v rdf.Term) *State {
-	ext := m.restrictThroughPath(s.Ext, path, NewTermSet(v))
+	ext := m.restrictThroughPath(s.Ext, path, m.isOneOf(NewTermSet(v)))
 	in := s.Int.Clone()
 	in.Conds = append(in.Conds, Cond{Path: append(Path{}, path...), Value: v})
 	return &State{Ext: ext, Int: in}
@@ -495,31 +502,33 @@ func (m *Model) ClickValue(s *State, path Path, v rdf.Term) *State {
 
 // ClickValueSet selects a set of values at the path end (multi-select).
 func (m *Model) ClickValueSet(s *State, path Path, vs []rdf.Term) *State {
-	ext := m.restrictThroughPath(s.Ext, path, NewTermSet(vs...))
+	ext := m.restrictThroughPath(s.Ext, path, m.isOneOf(NewTermSet(vs...)))
 	in := s.Int.Clone()
 	in.Conds = append(in.Conds, Cond{Path: append(Path{}, path...), Values: append([]rdf.Term{}, vs...)})
 	return &State{Ext: ext, Int: in}
 }
 
-// ClickRange applies a literal comparison at the end of a 1-hop path: the
-// range filter of Example 3 (§5.1).
-func (m *Model) ClickRange(s *State, path Path, op string, v rdf.Term) *State {
-	if len(path) != 1 {
-		// Ranges over longer paths: restrict through the path by computing
-		// matching end values first.
-		end := m.ExpandPath(s, path)
-		match := NewTermSet()
-		for _, vc := range end {
-			if compareHolds(vc.Value, op, v) {
-				match.Add(vc.Value)
-			}
-		}
-		ext := m.restrictThroughPath(s.Ext, path, match)
-		in := s.Int.Clone()
-		in.Conds = append(in.Conds, Cond{Path: append(Path{}, path...), Op: op, Value: v})
-		return &State{Ext: ext, Int: in}
+// isOneOf is the end-value test of a click on the values of vs.
+func (m *Model) isOneOf(vs *TermSet) func(rdf.ID) bool {
+	ids := m.ids(vs)
+	return func(id rdf.ID) bool {
+		_, ok := ids[id]
+		return ok
 	}
-	ext := m.RestrictOp(s.Ext, path[0].P, op, v)
+}
+
+// ClickRange applies a literal comparison at the end of a path: the range
+// filter of Example 3 (§5.1).
+func (m *Model) ClickRange(s *State, path Path, op string, v rdf.Term) *State {
+	var ext *TermSet
+	if len(path) == 1 {
+		ext = m.RestrictOp(s.Ext, path[0].P, op, v)
+	} else {
+		// Longer paths: restrict back from the end values that compare.
+		ext = m.restrictThroughPath(s.Ext, path, func(id rdf.ID) bool {
+			return compareHolds(m.G.TermOf(id), op, v)
+		})
+	}
 	in := s.Int.Clone()
 	in.Conds = append(in.Conds, Cond{Path: append(Path{}, path...), Op: op, Value: v})
 	return &State{Ext: ext, Int: in}
@@ -541,10 +550,9 @@ func (m *Model) ClickClass(s *State, c rdf.Term) *State {
 // from a set of laptops to the set of their manufacturers, which then has
 // its own facets (size, origin, founder ...).
 func (m *Model) SwitchFocus(s *State, step PathStep) *State {
-	vals := m.Joins(s.Ext, step.P, step.Inverse)
 	ext := NewTermSet()
-	for v := range vals {
-		if v.IsResource() {
+	for id := range m.countJoins(m.ids(s.Ext), step.P, step.Inverse) {
+		if v := m.G.TermOf(id); v.IsResource() {
 			ext.Add(v)
 		}
 	}
@@ -556,31 +564,21 @@ func (m *Model) SwitchFocus(s *State, step PathStep) *State {
 	}
 }
 
-// restrictThroughPath implements Eq. 5.1: starting from the selected end
-// markers M'_k, restrict each intermediate marker set and finally the
-// extension.
-func (m *Model) restrictThroughPath(ext *TermSet, path Path, endValues *TermSet) *TermSet {
-	// Recompute the forward marker sets M_1..M_k.
-	markers := make([]*TermSet, len(path)+1)
-	markers[0] = ext
-	for i, step := range path {
-		vals := m.Joins(markers[i], step.P, step.Inverse)
-		next := NewTermSet()
-		for v := range vals {
-			next.Add(v)
-		}
-		markers[i+1] = next
-	}
-	// Backward restriction: M'_k = endValues ∩ M_k; M'_i = Restrict(M_i,
-	// p_{i+1} : M'_{i+1}).
-	restricted := NewTermSet()
-	for _, v := range endValues.Items() {
-		if markers[len(path)].Has(v) {
-			restricted.Add(v)
+// restrictThroughPath implements Eq. 5.1: the selected end markers M'_k are
+// the values of M_k that keep accepts, and each intermediate marker set and
+// finally the extension are restricted backwards from them:
+// M'_i = Restrict(M_i, p_{i+1} : M'_{i+1}).
+func (m *Model) restrictThroughPath(ext *TermSet, path Path, keep func(rdf.ID) bool) *TermSet {
+	v := m.G.Version()
+	markers, _ := m.pathMarkers(m.ids(ext), path)
+	restricted := idSet{}
+	for id := range markers[len(path)] {
+		if keep(id) {
+			restricted[id] = struct{}{}
 		}
 	}
 	for i := len(path) - 1; i >= 0; i-- {
-		restricted = m.RestrictSet(markers[i], path[i].P, path[i].Inverse, restricted)
+		restricted = m.restrictIDs(markers[i], path[i].P, path[i].Inverse, restricted)
 	}
-	return restricted
+	return m.termSet(restricted, v)
 }

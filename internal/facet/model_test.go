@@ -357,37 +357,6 @@ func TestMaxValuesCap(t *testing.T) {
 	}
 }
 
-func TestRankFacets(t *testing.T) {
-	m := model(t)
-	s := m.ClickClass(m.Start(), pe("Laptop"))
-	facets := m.PropertyFacets(s, false)
-	ranked := RankFacets(m, s.Ext, facets)
-	if len(ranked) != len(facets) {
-		t.Fatalf("ranked %d of %d", len(ranked), len(facets))
-	}
-	pos := map[string]int{}
-	for i, f := range ranked {
-		pos[f.P.LocalName()] = i
-	}
-	// releaseDate/price/hardDrive split 3 laptops into 3 singleton values
-	// (entropy log2(3)≈1.58); manufacturer splits 2/1 (≈0.92); USBPorts 2/1.
-	// So manufacturer must rank below the three full-split facets.
-	if pos["manufacturer"] < pos["releaseDate"] {
-		t.Errorf("ranking: %v", pos)
-	}
-	// A constant facet ranks last: add one.
-	g := m.G
-	for _, l := range []string{"laptop1", "laptop2", "laptop3"} {
-		g.Add(rdf.Triple{S: pe(l), P: pe("kind"), O: rdf.NewString("laptop")})
-	}
-	m2 := NewModel(g)
-	s2 := m2.ClickClass(m2.Start(), pe("Laptop"))
-	ranked2 := RankFacets(m2, s2.Ext, m2.PropertyFacets(s2, false))
-	if ranked2[len(ranked2)-1].P != pe("kind") {
-		t.Errorf("constant facet not last: %v", ranked2[len(ranked2)-1].P)
-	}
-}
-
 func BenchmarkPropertyFacets(b *testing.B) {
 	g := datagen.Products(datagen.ProductsConfig{Laptops: 500, Companies: 10, Seed: 1, Materialize: true})
 	m := NewModel(g)

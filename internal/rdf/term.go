@@ -9,8 +9,10 @@
 package rdf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -186,24 +188,32 @@ func (t Term) Bool() (bool, bool) {
 	return false, false
 }
 
-// Time parses xsd:date / xsd:dateTime literals.
+// Time parses xsd:date / xsd:dateTime literals. Only the layouts the
+// lexical shape allows are tried: a "T" selects the two dateTime layouts,
+// anything else the two date layouts, so a valid date parses without first
+// failing on the dateTime ones.
 func (t Term) Time() (time.Time, bool) {
 	if t.Kind != KindLiteral {
 		return time.Time{}, false
 	}
 	v := strings.TrimSpace(t.Value)
-	for _, layout := range []string{
-		"2006-01-02T15:04:05Z07:00",
-		"2006-01-02T15:04:05",
-		"2006-01-02Z07:00",
-		"2006-01-02",
-	} {
+	layouts := dateLayouts
+	if strings.IndexByte(v, 'T') >= 0 {
+		layouts = dateTimeLayouts
+	}
+	for _, layout := range layouts {
 		if tm, err := time.Parse(layout, v); err == nil {
 			return tm, true
 		}
 	}
 	return time.Time{}, false
 }
+
+// The accepted temporal layouts, zone-qualified first.
+var (
+	dateTimeLayouts = [...]string{"2006-01-02T15:04:05Z07:00", "2006-01-02T15:04:05"}
+	dateLayouts     = [...]string{"2006-01-02Z07:00", "2006-01-02"}
+)
 
 // LocalName returns the fragment/last path segment of an IRI, or the plain
 // value for other terms. It is what user interfaces display as a facet label.
@@ -243,19 +253,61 @@ func (t Term) String() string {
 }
 
 // Less imposes a total order on terms: IRIs < blanks < literals, then by
-// value, datatype and language. It is the order used by deterministic
-// iteration helpers and result sorting.
+// value, datatype and language (see SortKey.Compare). It is the order used
+// by deterministic iteration helpers and result sorting. Less decodes both
+// terms on every call; code that sorts many terms decodes each one once
+// with SortKey instead.
 func (t Term) Less(u Term) bool {
+	tk, uk := t.SortKey(), u.SortKey()
+	return tk.Compare(&uk) < 0
+}
+
+// SortKey is a term decoded for ordering: the term plus its numeric value
+// (numeric literals) or instant (xsd:date / xsd:dateTime literals). Sorting
+// n terms by key parses n values instead of two per comparison.
+type SortKey struct {
+	Term  Term
+	class keyClass
+	num   float64
+	inst  time.Time
+}
+
+// keyClass says which decoded value, if any, a SortKey carries.
+type keyClass uint8
+
+const (
+	keyLexical keyClass = iota
+	keyNumeric
+	keyTemporal
+)
+
+// SortKey decodes t's position in the Less order.
+func (t Term) SortKey() SortKey {
+	k := SortKey{Term: t}
+	if t.Kind != KindLiteral {
+		return k
+	}
+	if f, ok := t.Float(); ok {
+		k.class, k.num = keyNumeric, f
+	} else if t.IsTemporal() {
+		if tm, ok := t.Time(); ok {
+			k.class, k.inst = keyTemporal, tm
+		}
+	}
+	return k
+}
+
+// Compare is the three-way term order on decoded keys: -1, 0 or +1 as k
+// sorts before, equal to or after l. Keys are passed by pointer because
+// sorts compare them far more often than they build them.
+func (k *SortKey) Compare(l *SortKey) int {
+	t, u := &k.Term, &l.Term
 	if t.Kind != u.Kind {
-		return t.Kind < u.Kind
+		return cmp.Compare(t.Kind, u.Kind)
 	}
 	// Numeric literals order numerically so facet values display sensibly.
-	if t.Kind == KindLiteral && t.IsNumeric() && u.IsNumeric() {
-		a, okA := t.Float()
-		b, okB := u.Float()
-		if okA && okB && a != b {
-			return a < b
-		}
+	if k.class == keyNumeric && l.class == keyNumeric && k.num != l.num {
+		return cmp.Compare(k.num, l.num)
 	}
 	// Temporal literals order chronologically: timezone offsets and
 	// non-canonical lexical forms make string order diverge from the value
@@ -263,20 +315,33 @@ func (t Term) Less(u Term) bool {
 	// "2021-06-01T10:00:00Z" but sorts after it lexically). Distinct lexical
 	// forms of the same instant fall through to the lexical tiebreak so the
 	// order stays total and antisymmetric.
-	if t.IsTemporal() && u.IsTemporal() {
-		a, okA := t.Time()
-		b, okB := u.Time()
-		if okA && okB && !a.Equal(b) {
-			return a.Before(b)
+	if k.class == keyTemporal && l.class == keyTemporal {
+		if c := k.inst.Compare(l.inst); c != 0 {
+			return c
 		}
 	}
-	if t.Value != u.Value {
-		return t.Value < u.Value
+	if c := strings.Compare(t.Value, u.Value); c != 0 {
+		return c
 	}
-	if t.Datatype != u.Datatype {
-		return t.Datatype < u.Datatype
+	if c := strings.Compare(t.Datatype, u.Datatype); c != 0 {
+		return c
 	}
-	return t.Lang < u.Lang
+	return strings.Compare(t.Lang, u.Lang)
+}
+
+// SortTerms sorts ts by Less, decoding each term once. It sorts indices
+// into the keys, so the large keys themselves are never moved.
+func SortTerms(ts []Term) {
+	keys := make([]SortKey, len(ts))
+	order := make([]int32, len(ts))
+	for i, t := range ts {
+		keys[i] = t.SortKey()
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int { return keys[i].Compare(&keys[j]) })
+	for i, k := range order {
+		ts[i] = keys[k].Term
+	}
 }
 
 func escapeLiteral(s string) string {
